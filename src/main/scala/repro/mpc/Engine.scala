@@ -1,6 +1,6 @@
 package repro.mpc
 
-import scala.util.Random
+import java.util.SplittableRandom
 
 /** A value protected by an MPC engine. Engines pattern-match on their own
   * representation and reject foreign values, so a shared relation can never
@@ -31,6 +31,11 @@ final case class WireVal(v: Long) extends MpcVal
 trait MpcEngine {
   def name: String
   def meter: CostMeter
+
+  /** The engine's only source of randomness: one unsynchronized SplitMix64
+    * stream, so a seed replays every share, triple and permutation.
+    */
+  protected def rng: SplittableRandom
 
   /** Secret-share / feed a cleartext ring element into the MPC. */
   def input(x: Long): MpcVal
@@ -87,9 +92,14 @@ trait MpcEngine {
 
   /** A secret permutation of {0..n-1} drawn inside the protocol (the
     * composition of per-party permutations in a resharing-based shuffle);
-    * the simulation's trusted runtime draws it directly.
+    * the simulation's trusted runtime draws it directly (Fisher–Yates).
     */
-  def secretPermutation(n: Int): Array[Int]
+  def secretPermutation(n: Int): Array[Int] = {
+    val a = Array.range(0, n)
+    var i = n - 1
+    while (i > 0) { val j = rng.nextInt(i + 1); val t = a(i); a(i) = a(j); a(j) = t; i -= 1 }
+    a
+  }
 
   /** Charge the cost of obliviously shuffling `rows` rows of `cols` columns. */
   def chargeShuffle(rows: Long, cols: Long): Unit
@@ -117,7 +127,7 @@ trait MpcEngine {
   */
 final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEngine {
   val name = "secret-sharing"
-  private val rng = new Random(seed)
+  protected val rng = new SplittableRandom(seed)
 
   private def wrap(v: MpcVal): SharesVal = v match {
     case s: SharesVal => s
@@ -176,7 +186,9 @@ final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEng
 
   override def mulFx(a: MpcVal, b: MpcVal): MpcVal = {
     // Oblivious truncation after the raw product; the truncation protocol is
-    // an ideal functionality charged as one extra multiplication.
+    // an ideal functionality charged as one extra multiplication. The trusted
+    // runtime refuses a product that would wrap the ring.
+    Fixed.product(peek(a), peek(b))
     val prod = mulRaw(a, b)
     meter.addMul(1)
     input(Fixed.rescale(peek(prod)))
@@ -203,13 +215,6 @@ final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEng
 
   override def mulFlag(flag: MpcVal, v: MpcVal): MpcVal = mulRaw(flag, v)
 
-  override def secretPermutation(n: Int): Array[Int] = {
-    val a = Array.range(0, n)
-    var i = n - 1
-    while (i > 0) { val j = rng.nextInt(i + 1); val t = a(i); a(i) = a(j); a(j) = t; i -= 1 }
-    a
-  }
-
   override def chargeShuffle(rows: Long, cols: Long): Unit = {
     val logN = if (rows <= 1) 1L else (64 - java.lang.Long.numberOfLeadingZeros(rows - 1)).toLong
     meter.addShuffle(rows * logN * cols)
@@ -228,7 +233,7 @@ final class SecretSharingEngine(seed: Long, val meter: CostMeter) extends MpcEng
   */
 final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
   val name = s"garbled-${meter.params.name}"
-  private val rng = new Random(0x6C1L)
+  protected val rng = new SplittableRandom(0x6C1L)
 
   // Gate counts for 64-bit words (free-XOR model: only AND gates garbled).
   private val AddGates = 64L
@@ -263,7 +268,7 @@ final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
     meter.addGates(MulGates); WireVal(wrap(a).v * b.asInstanceOf[WireVal].v)
   }
   override def mulFx(a: MpcVal, b: MpcVal): MpcVal = {
-    meter.addGates(MulGates); WireVal(Fixed.rescale(wrap(a).v * wrap(b).v))
+    meter.addGates(MulGates); WireVal(Fixed.rescale(Fixed.product(wrap(a).v, wrap(b).v)))
   }
   override def divFx(a: MpcVal, b: MpcVal): MpcVal = {
     meter.addGates(MulGates * 4) // long division circuit
@@ -279,13 +284,6 @@ final class GarbledCircuitEngine(val meter: CostMeter) extends MpcEngine {
   }
   override def mulFlag(flag: MpcVal, v: MpcVal): MpcVal = {
     meter.addGates(MuxGates); WireVal(wrap(flag).v * wrap(v).v)
-  }
-
-  override def secretPermutation(n: Int): Array[Int] = {
-    val a = Array.range(0, n)
-    var i = n - 1
-    while (i > 0) { val j = rng.nextInt(i + 1); val t = a(i); a(i) = a(j); a(j) = t; i -= 1 }
-    a
   }
 
   override def chargeShuffle(rows: Long, cols: Long): Unit = {

@@ -24,6 +24,13 @@ object Fixed {
 
   def decode(v: Long): Double = v.toDouble / Scale
 
+  /** Raw product of two encoded values; throws instead of wrapping when it
+    * leaves the 64-bit ring (|ab| >= 2^31 for decoded a, b).
+    */
+  def product(a: Long, b: Long): Long =
+    try Math.multiplyExact(a, b)
+    catch { case _: ArithmeticException => throw new ArithmeticException("fixed-point multiply overflow") }
+
   /** Rescale after a fixed-point multiply: (a*2^16)(b*2^16) -> ab*2^16. */
   def rescale(prod: Long): Long = prod >> ScaleBits
 

@@ -177,7 +177,8 @@ object Protocols {
 
     // 2-4. STP: enumerate, sort by key, compute equality flags, publish the
     //      ordering (public) and secret-share the flags.
-    val order = keys.indices.sortBy(i => keys(i).mkString(","))
+    import scala.math.Ordering.Implicits.seqOrdering
+    val order = keys.indices.sortBy(keys)
     val eqFlags = order.indices.map { pos =>
       if (pos == 0) 0L
       else if (keys(order(pos)) == keys(order(pos - 1))) 1L

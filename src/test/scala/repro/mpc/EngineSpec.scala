@@ -75,6 +75,15 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  test("fixed-point multiply raises instead of wrapping the ring") {
+    // 50,000^2 = 2.5e9 >= 2^31: the encoded product needs more than 64 bits.
+    for (e <- Seq[MpcEngine](freshSS(), freshGC())) {
+      val x = e.input(Fixed.encode(50000))
+      val err = intercept[ArithmeticException](e.mulFx(x, x))
+      assert(err.getMessage.contains("fixed-point multiply overflow"), e.name)
+    }
+  }
+
   test("fixed-point divide approximates real division") {
     val e = freshSS()
     forAll2(Gen.chooseNum(1, 100000), Gen.chooseNum(1, 1000)) { (a, b) =>
@@ -122,6 +131,17 @@ class EngineSpec extends AnyFunSuite {
     val e = freshSS()
     val p = e.secretPermutation(257)
     assert(p.sorted.toSeq == (0 until 257))
+  }
+
+  test("a seed replays every share and permutation; another seed does not") {
+    def draw(seed: Long): (Seq[SharesVal], Seq[Int]) = {
+      val e = new SecretSharingEngine(seed, new CostMeter(CostParams.Sharemind))
+      ((1L to 20L).map(e.input), e.secretPermutation(64).toSeq)
+    }
+    val (shares, perm) = draw(7L)
+    assert(draw(7L) == ((shares, perm)))
+    val (otherShares, otherPerm) = draw(8L)
+    assert(otherShares != shares && otherPerm != perm)
   }
 
   test("eq/lt/cmp operations are metered") {

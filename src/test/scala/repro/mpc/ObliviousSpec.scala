@@ -80,7 +80,12 @@ class ObliviousSpec extends AnyFunSuite {
     val filtered = b.filterLit(rel(b, Seq("k"), rows), "k", MCmp.Neq, 3.0)
     val sorted = Oblivious.sortBy(b.engine, filtered, Seq(Oblivious.SortKey(0)))
     assert(sorted.size == 4, "size-hiding: row count unchanged")
-    assert(open(b, sorted) == Seq(Seq(1.0), Seq(2.0), Seq(5.0)))
+    val e = b.engine
+    assert(sorted.validity.map(_.map(e.idealOpen)) == Some(Seq(1L, 1L, 1L, 0L)),
+      "the invalid row stays, flagged, at the end")
+    assert(sorted.rows.take(3).map(r => Fixed.decode(e.idealOpen(r(0)))) == Seq(1.0, 2.0, 5.0))
+    // reveal compacts through a secret shuffle, so only the multiset is fixed.
+    assertSameRows(open(b, sorted), Seq(Seq(1.0), Seq(2.0), Seq(5.0)))
   }
 
   // ------------------------------------------------------------------- filter

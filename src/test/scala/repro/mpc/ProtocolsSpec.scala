@@ -118,23 +118,41 @@ class ProtocolsSpec extends AnyFunSuite {
 
   // ------------------------------------------------------- hybrid aggregation
 
-  private def refAgg(rows: Seq[Seq[Double]], fn: MAggFn): Seq[Seq[Double]] =
-    rows.groupBy(_.head).map { case (k, rs) =>
-      Seq(k, fn match {
-        case MAggFn.Sum   => rs.map(_(1)).sum
+  /** Groups on the first `groupCols` columns and aggregates the next one. */
+  private def refAgg(rows: Seq[Seq[Double]], fn: MAggFn, groupCols: Int = 1): Seq[Seq[Double]] =
+    rows.groupBy(_.take(groupCols)).map { case (k, rs) =>
+      val vs = rs.map(_(groupCols))
+      k :+ (fn match {
+        case MAggFn.Sum   => vs.sum
         case MAggFn.Count => rs.size.toDouble
-        case MAggFn.Min   => rs.map(_(1)).min
-        case MAggFn.Max   => rs.map(_(1)).max
+        case MAggFn.Min   => vs.min
+        case MAggFn.Max   => vs.max
       })
     }.toSeq
 
+  /** Rows (k1, k2, v) with small keys of both signs, so groups share a k1. */
+  private val genTwoKeyRows: Gen[Seq[Seq[Double]]] =
+    for {
+      n <- Gen.chooseNum(0, 25)
+      rows <- Gen.listOfN(n,
+        Gen.zip(Gen.chooseNum(-3, 3), Gen.chooseNum(-12, 12), Gen.chooseNum(-99, 99))
+          .map(t => Seq(t._1.toDouble, t._2.toDouble, t._3.toDouble)))
+    } yield rows
+
   for (fn <- Seq(MAggFn.Sum, MAggFn.Count, MAggFn.Min, MAggFn.Max)) {
     test(s"hybrid aggregation computes $fn per group (property)") {
+      val aggCol = if (fn == MAggFn.Count) None else Some("v")
       Props.forAll(genRows(25, 5), runs = 15) { rows =>
         val b = sharemind()
         val out = b.hybridAggregate("ha", rel(b, Seq("k", "v"), rows), Seq("k"),
-          if (fn == MAggFn.Count) None else Some("v"), fn, "out", stp = pA)
+          aggCol, fn, "out", stp = pA)
         assertSameRows(open(b, out), refAgg(rows, fn))
+      }
+      Props.forAll(genTwoKeyRows, runs = 15) { rows =>
+        val b = sharemind()
+        val out = b.hybridAggregate("ha", rel(b, Seq("k1", "k2", "v"), rows), Seq("k1", "k2"),
+          aggCol, fn, "out", stp = pA)
+        assertSameRows(open(b, out), refAgg(rows, fn, groupCols = 2))
       }
     }
   }
