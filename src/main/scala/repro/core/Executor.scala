@@ -143,17 +143,6 @@ final class Executor(
 
   // ------------------------------------------------------------ mpc helpers
 
-  private def mCmp(c: CmpOp): MCmp = c match {
-    case CmpOp.Eq => MCmp.Eq; case CmpOp.Neq => MCmp.Neq
-    case CmpOp.Lt => MCmp.Lt; case CmpOp.Leq => MCmp.Leq
-    case CmpOp.Gt => MCmp.Gt; case CmpOp.Geq => MCmp.Geq
-  }
-
-  private def mAgg(fn: AggFn): MAggFn = fn match {
-    case AggFn.Sum => MAggFn.Sum; case AggFn.Count => MAggFn.Count
-    case AggFn.Min => MAggFn.Min; case AggFn.Max => MAggFn.Max
-  }
-
   private def collectRows(df: DataFrame): Seq[Seq[Double]] = {
     val rows = df.collect().toSeq.map(r =>
       (0 until r.length).map(i => if (r.isNullAt(i)) 0.0 else r.getDouble(i)))
@@ -251,28 +240,23 @@ final class Executor(
         val out = timedMpc(n.kind match {
           case OpKind.Project(cols)       => backend.project(shared.head, cols)
           case OpKind.Filter(c, cmp, rhs) =>
-            rhs.fold(c2 => backend.filterCol(shared.head, c, mCmp(cmp), c2),
-                     v => backend.filterLit(shared.head, c, mCmp(cmp), v))
+            rhs.fold(c2 => backend.filterCol(shared.head, c, cmp, c2),
+                     v => backend.filterLit(shared.head, c, cmp, v))
           case OpKind.Agg(group, fn, aggCol, out2, _) =>
-            if (group.isEmpty) backend.globalAggregate(shared.head, aggCol, mAgg(fn), out2)
-            else backend.aggregate(name, shared.head, group, aggCol, mAgg(fn), out2, n.preSorted)
+            if (group.isEmpty) backend.globalAggregate(shared.head, aggCol, fn, out2)
+            else backend.aggregate(name, shared.head, group, aggCol, fn, out2, n.preSorted)
           case OpKind.HybridAgg(group, fn, aggCol, out2, stp) =>
-            backend.hybridAggregate(name, shared.head, group, aggCol, mAgg(fn), out2, stp)
+            backend.hybridAggregate(name, shared.head, group, aggCol, fn, out2, stp)
           case OpKind.Join(lk, rk) =>
             backend.join(name, shared(0), shared(1), lk, rk)
           case OpKind.HybridJoin(lk, rk, stp) =>
             backend.hybridJoin(name, shared(0), shared(1), lk, rk, stp)
           case OpKind.PublicJoin(lk, rk, host) =>
             backend.publicJoin(name, shared(0), shared(1), lk, rk, host)
-          case OpKind.Arith(fn, out2, lhs, rhs) =>
-            val mfn = fn match {
-              case ArithFn.Add => MArith.Add; case ArithFn.Sub => MArith.Sub
-              case ArithFn.Mul => MArith.Mul; case ArithFn.Div => MArith.Div
-            }
-            backend.arith(shared.head, mfn, out2, lhs, rhs.left.map(identity))
+          case OpKind.Arith(fn, out2, lhs, rhs) => backend.arith(shared.head, fn, out2, lhs, rhs)
           case OpKind.ConstCol(cn, v) => backend.constCol(shared.head, cn, v)
           case OpKind.Sort(c, asc)    => backend.sort(shared.head, Seq((c, asc)))
-          case OpKind.Limit(k)        => backend.limit(backend.compact(name, shared.head), k)
+          case OpKind.Limit(k)        => backend.limit(shared.head, k)
           case OpKind.Distinct(_)     => backend.distinct(shared.head, n.preSorted)
           case other                  => sys.error(s"MPC executor cannot evaluate ${other.label}")
         })
@@ -289,8 +273,8 @@ final class Executor(
       n: Node, lk: Seq[String], rk: Seq[String], host: Party,
       childVals: Seq[RelValue]): SharedRelation = {
     val Seq(lc, rc) = childVals.map(_.asInstanceOf[ClearRel])
-    val lSchema = n.children(0).schema
-    val rSchema = n.children(1).schema
+    val lSchema = n.children(0).schema.toVector
+    val rSchema = n.children(1).schema.toVector
     val all = backend.allParties
     lk.foreach(k => backend.leakage.record(ColumnLeak(s"#${n.id}", s"left:$k", all)))
     rk.foreach(k => backend.leakage.record(ColumnLeak(s"#${n.id}", s"right:$k", all)))
@@ -304,32 +288,25 @@ final class Executor(
     val rRows = gather(rc)
     val lkIdx = lk.map(lSchema.indexOf)
     val rkIdx = rk.map(rSchema.indexOf)
-    val byKey = lRows.indices.groupBy(i => lkIdx.map(lRows(i)))
+    import scala.math.Ordering.Double.TotalOrdering
     import scala.math.Ordering.Implicits.seqOrdering
-    val pairs = (for {
-      j <- rRows.indices
-      key = rkIdx.map(rRows(j))
-      i <- byKey.getOrElse(key, Seq.empty)
-    } yield (key, i, j)).sortBy(_._1: Seq[Double])
+    val pairs = Protocols.matchKeys(lRows.map(r => lkIdx.map(r)), rRows.map(r => rkIdx.map(r)),
+      inKeyOrder = true)
     backend.leakage.record(CardinalityLeak(s"#${n.id}", pairs.length.toLong, all))
 
     // Each side secret-shares *only its matched rows*, in the public pair
     // order — unmatched rows never enter MPC.
-    val lRest = lSchema.indices.filterNot(lkIdx.contains)
-    val rRest = rSchema.indices.filterNot(rkIdx.contains)
-    val outSchema = lk ++ lRest.map(lSchema) ++ rRest.map(rSchema)
+    val layout = new JoinLayout(lkIdx, rkIdx, lSchema.length, rSchema.length)
     closedRows += 2L * pairs.length
     require(closedRows <= maxCloseRows,
       s"safety cap: $closedRows rows crossed into the MPC simulator (max $maxCloseRows)")
     timedMpc {
-      val lShared = backend.close(s"#${n.id}:left",
-        lk ++ lRest.map(lSchema),
-        pairs.map { case (_, i, _) => lkIdx.map(lRows(i)) ++ lRest.map(lRows(i)) })
-      val rShared = backend.close(s"#${n.id}:right",
-        rRest.map(rSchema),
-        pairs.map { case (_, _, j) => rRest.map(rRows(j)).toSeq })
+      val lShared = backend.close(s"#${n.id}:left", layout.left(lSchema),
+        pairs.map { case (i, _) => layout.left(lRows(i)) })
+      val rShared = backend.close(s"#${n.id}:right", layout.right(rSchema),
+        pairs.map { case (_, j) => layout.right(rRows(j)) })
       SharedRelation(
-        outSchema.toVector,
+        lShared.schema ++ rShared.schema,
         lShared.rows.lazyZip(rShared.rows).map(_ ++ _).toVector,
         None)
     }

@@ -4,9 +4,10 @@ package repro.core
   *
   * Traverses the DAG tracking the column each intermediate relation is
   * sorted by (if any): order-preserving operators (filter, row-wise
-  * arithmetic, projections retaining the column, limit) propagate it;
-  * shuffling operators (joins, aggregations, concat) reset it — except the
-  * public join, whose cleartext host returns results in key order.
+  * arithmetic, projections retaining the column, limit, pre-sorted distinct)
+  * propagate it; shuffling or re-sorting operators (joins, aggregations,
+  * concat, other distincts) reset it — except the public join, whose
+  * cleartext host returns results in key order.
   *
   * Consumers that sort internally are marked `preSorted` when their input is
   * already ordered compatibly, letting the executor skip the O(n log² n)
@@ -23,6 +24,18 @@ object SortElim {
       changed = false
       dag.topo.foreach { n =>
         val in = n.children.headOption.flatMap(_.sortedBy)
+        // preSorted consumers: skip the internal oblivious sort.
+        n.kind match {
+          case OpKind.Agg(group, _, _, _, _) if group.length == 1 =>
+            n.preSorted = in.contains((group.head, true))
+          case OpKind.Distinct(_) =>
+            // Safe when equal rows are guaranteed adjacent: the relation has
+            // exactly one column and is sorted by it.
+            n.preSorted = in.isDefined &&
+              n.children.head.schema.length == 1 &&
+              in.exists(_._1 == n.children.head.schema.head)
+          case _ => ()
+        }
         n.sortedBy = n.kind match {
           case _: OpKind.Input  => None
           case _: OpKind.Output => in
@@ -41,20 +54,9 @@ object SortElim {
           case _: OpKind.Join | _: OpKind.HybridJoin => None // shuffled outputs
           case _: OpKind.Agg | _: OpKind.HybridAgg   => None // shuffled before reveal
           case OpKind.Distinct(_) =>
-            // Our oblivious distinct preserves input order (validity-only).
-            in
-        }
-        // preSorted consumers: skip the internal oblivious sort.
-        n.kind match {
-          case OpKind.Agg(group, _, _, _, _) if group.length == 1 =>
-            n.preSorted = in.contains((group.head, true))
-          case OpKind.Distinct(_) =>
-            // Safe when equal rows are guaranteed adjacent: the relation has
-            // exactly one column and is sorted by it.
-            n.preSorted = in.isDefined &&
-              n.children.head.schema.length == 1 &&
-              in.exists(_._1 == n.children.head.schema.head)
-          case _ => ()
+            // Only a pre-sorted distinct keeps its input order (validity
+            // only); otherwise it re-sorts on all of its columns.
+            if (n.preSorted) in else None
         }
       }
     }

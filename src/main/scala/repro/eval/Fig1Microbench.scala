@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
-import repro.core.Party
+import repro.core.{AggFn, Party}
 import repro.data.Generators
 import repro.mpc._
 
@@ -70,7 +70,7 @@ object Fig1Microbench {
         case AggOp =>
           val rows = mkRows(n, nKeys = math.max(1, n / 10))
           b.aggregate("agg", b.close("in", Seq("k", "v"), rows), Seq("k"), Some("v"),
-            MAggFn.Sum, "s")
+            AggFn.Sum, "s")
         case JoinOp =>
           val l = mkRows(n / 2, nKeys = math.max(1, n / 2))
           val r = mkRows(n - n / 2, nKeys = math.max(1, n / 2))

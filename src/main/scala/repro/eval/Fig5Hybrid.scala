@@ -1,6 +1,6 @@
 package repro.eval
 
-import repro.core.Party
+import repro.core.{AggFn, Party}
 import repro.mpc._
 
 /** Table T3 (paper Fig. 5): hybrid operator microbenchmarks.
@@ -62,14 +62,14 @@ object Fig5Hybrid {
       return BenchPoint("mpc-agg", n, None, ">2h")
     val b = MpcBackend.sharemind(parties)
     b.aggregate("a", b.close("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
-      Seq("k"), Some("v"), MAggFn.Sum, "s")
+      Seq("k"), Some("v"), AggFn.Sum, "s")
     BenchPoint("mpc-agg", n, Some(b.meter.modeledSeconds))
   }
 
   private def hybridAgg(n: Long): BenchPoint = {
     val b = MpcBackend.sharemind(parties)
     b.hybridAggregate("a", b.close("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
-      Seq("k"), Some("v"), MAggFn.Sum, "s", stp = pC)
+      Seq("k"), Some("v"), AggFn.Sum, "s", stp = pC)
     BenchPoint("hybrid-agg", n, Some(b.meter.modeledSeconds))
   }
 }

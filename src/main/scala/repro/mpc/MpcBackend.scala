@@ -1,26 +1,6 @@
 package repro.mpc
 
-import repro.core.Party
-
-/** Comparison operators available in MPC filters. */
-sealed trait MCmp
-object MCmp {
-  case object Eq extends MCmp
-  case object Neq extends MCmp
-  case object Lt extends MCmp
-  case object Leq extends MCmp
-  case object Gt extends MCmp
-  case object Geq extends MCmp
-}
-
-/** Row-wise arithmetic available in MPC. */
-sealed trait MArith
-object MArith {
-  case object Add extends MArith
-  case object Sub extends MArith
-  case object Mul extends MArith
-  case object Div extends MArith
-}
+import repro.core.{AggFn, ArithFn, CmpOp, Party}
 
 /** Relation-level MPC backend: the API Conclave's executor programs against
   * (the role Sharemind / Obliv-C play in the paper, §6).
@@ -64,17 +44,17 @@ final class MpcBackend(
     SharedRelation(cols.toVector, rel.rows.map(r => idxs.map(r)), rel.validity)
   }
 
-  private def cmpFlag(a: MpcVal, cmp: MCmp, b: MpcVal): MpcVal = cmp match {
-    case MCmp.Eq  => engine.eq(a, b)
-    case MCmp.Neq => engine.not(engine.eq(a, b))
-    case MCmp.Lt  => engine.lt(a, b)
-    case MCmp.Gt  => engine.lt(b, a)
-    case MCmp.Leq => engine.not(engine.lt(b, a))
-    case MCmp.Geq => engine.not(engine.lt(a, b))
+  private def cmpFlag(a: MpcVal, cmp: CmpOp, b: MpcVal): MpcVal = cmp match {
+    case CmpOp.Eq  => engine.eq(a, b)
+    case CmpOp.Neq => engine.not(engine.eq(a, b))
+    case CmpOp.Lt  => engine.lt(a, b)
+    case CmpOp.Gt  => engine.lt(b, a)
+    case CmpOp.Leq => engine.not(engine.lt(b, a))
+    case CmpOp.Geq => engine.not(engine.lt(a, b))
   }
 
   /** Oblivious filter against a public literal (size-hiding, order-preserving). */
-  def filterLit(rel: SharedRelation, col: String, cmp: MCmp, lit: Double): SharedRelation = {
+  def filterLit(rel: SharedRelation, col: String, cmp: CmpOp, lit: Double): SharedRelation = {
     val c = rel.colIdx(col)
     val litV = engine.input(Fixed.encode(lit))
     engine.checkRelationMem("filter", rel.size.toLong, GcOpWidth.Projection)
@@ -82,7 +62,7 @@ final class MpcBackend(
   }
 
   /** Oblivious filter comparing two columns. */
-  def filterCol(rel: SharedRelation, colA: String, cmp: MCmp, colB: String): SharedRelation = {
+  def filterCol(rel: SharedRelation, colA: String, cmp: CmpOp, colB: String): SharedRelation = {
     val a = rel.colIdx(colA); val b = rel.colIdx(colB)
     engine.checkRelationMem("filter", rel.size.toLong, GcOpWidth.Projection)
     Oblivious.filter(engine, rel)(row => cmpFlag(row(a), cmp, row(b)))
@@ -94,7 +74,7 @@ final class MpcBackend(
       rel: SharedRelation,
       group: Seq[String],
       aggCol: Option[String],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
       preSorted: Boolean = false,
   ): SharedRelation = {
@@ -109,7 +89,7 @@ final class MpcBackend(
   def globalAggregate(
       rel: SharedRelation,
       aggCol: Option[String],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
   ): SharedRelation = {
     engine.checkRelationMem("aggregate", rel.size.toLong, GcOpWidth.Aggregation)
@@ -143,11 +123,21 @@ final class MpcBackend(
     Oblivious.sortBy(engine, rel, keys.map { case (c, asc) => Oblivious.SortKey(rel.colIdx(c), asc) })
   }
 
-  /** First `k` rows (public positions; input must be compacted). */
-  def limit(rel: SharedRelation, k: Int): SharedRelation = {
-    require(rel.validity.isEmpty, "limit requires a compacted relation")
-    engine.chargeRows(math.min(rel.size, k).toLong, rel.width.toLong)
-    rel.copy(rows = rel.rows.take(k))
+  /** First `k` valid rows, in input order. Without a validity column these
+    * are the first `k` positions. Otherwise a running count c_i of the
+    * validity flags keeps row i iff valid_i ∧ c_i ≤ k: order-preserving and
+    * size-hiding, so nothing is revealed.
+    */
+  def limit(rel: SharedRelation, k: Int): SharedRelation = rel.validity match {
+    case None =>
+      engine.chargeRows(math.min(rel.size, k).toLong, rel.width.toLong)
+      rel.copy(rows = rel.rows.take(k))
+    case Some(valid) =>
+      engine.chargeRows(rel.size.toLong, rel.width.toLong)
+      engine.checkRelationMem("limit", rel.size.toLong, GcOpWidth.Projection)
+      val bound = engine.input(k.toLong + 1)
+      val counts = valid.scanLeft(engine.input(0L))(engine.add).tail
+      rel.copy(validity = Some(valid.lazyZip(counts).map((v, c) => engine.and(v, engine.lt(c, bound)))))
   }
 
   def concat(rels: Seq[SharedRelation]): SharedRelation = {
@@ -167,7 +157,7 @@ final class MpcBackend(
     */
   def arith(
       rel: SharedRelation,
-      fn: MArith,
+      fn: ArithFn,
       outName: String,
       lhs: String,
       rhs: Either[String, Double],
@@ -176,15 +166,15 @@ final class MpcBackend(
     engine.chargeRows(rel.size.toLong, 1L)
     engine.checkRelationMem("arith", rel.size.toLong, GcOpWidth.Projection)
     def compute(row: Vector[MpcVal]): MpcVal = (fn, rhs) match {
-      case (MArith.Add, Right(s)) => engine.addPub(row(l), Fixed.encode(s))
-      case (MArith.Sub, Right(s)) => engine.addPub(row(l), -Fixed.encode(s))
-      case (MArith.Mul, Right(s)) if s == math.rint(s) => engine.mulPub(row(l), s.toLong)
-      case (MArith.Mul, Right(s)) => engine.mulFx(row(l), engine.input(Fixed.encode(s)))
-      case (MArith.Div, Right(s)) => engine.divFx(row(l), engine.input(Fixed.encode(s)))
-      case (MArith.Add, Left(c))  => engine.add(row(l), row(rel.colIdx(c)))
-      case (MArith.Sub, Left(c))  => engine.sub(row(l), row(rel.colIdx(c)))
-      case (MArith.Mul, Left(c))  => engine.mulFx(row(l), row(rel.colIdx(c)))
-      case (MArith.Div, Left(c))  => engine.divFx(row(l), row(rel.colIdx(c)))
+      case (ArithFn.Add, Right(s)) => engine.addPub(row(l), Fixed.encode(s))
+      case (ArithFn.Sub, Right(s)) => engine.addPub(row(l), -Fixed.encode(s))
+      case (ArithFn.Mul, Right(s)) if s == math.rint(s) => engine.mulPub(row(l), s.toLong)
+      case (ArithFn.Mul, Right(s)) => engine.mulFx(row(l), engine.input(Fixed.encode(s)))
+      case (ArithFn.Div, Right(s)) => engine.divFx(row(l), engine.input(Fixed.encode(s)))
+      case (ArithFn.Add, Left(c))  => engine.add(row(l), row(rel.colIdx(c)))
+      case (ArithFn.Sub, Left(c))  => engine.sub(row(l), row(rel.colIdx(c)))
+      case (ArithFn.Mul, Left(c))  => engine.mulFx(row(l), row(rel.colIdx(c)))
+      case (ArithFn.Div, Left(c))  => engine.divFx(row(l), row(rel.colIdx(c)))
     }
     val existing = rel.schema.indexOf(outName)
     if (existing >= 0)
@@ -199,8 +189,10 @@ final class MpcBackend(
     SharedRelation(rel.schema :+ name, rel.rows.map(_ :+ engine.input(Fixed.encode(value))), rel.validity)
   }
 
-  /** Compact away invalid rows; reveals the surviving count to all parties. */
-  def compact(relName: String, rel: SharedRelation): SharedRelation =
+  /** Compact away invalid rows before a hybrid operator; reveals the
+    * surviving count to all parties.
+    */
+  private def compact(relName: String, rel: SharedRelation): SharedRelation =
     if (rel.validity.isEmpty) rel
     else {
       val out = Oblivious.compact(engine, rel)
@@ -223,7 +215,7 @@ final class MpcBackend(
       left.colIdxs(lKeys), right.colIdxs(rKeys), host, allParties)
 
   def hybridAggregate(relName: String, rel: SharedRelation, group: Seq[String],
-      aggCol: Option[String], fn: MAggFn, outName: String, stp: Party): SharedRelation = {
+      aggCol: Option[String], fn: AggFn, outName: String, stp: Party): SharedRelation = {
     val compacted = compact(relName + ":in", rel)
     Protocols.hybridAggregate(engine, leakage, relName, compacted,
       compacted.colIdxs(group), aggCol.map(compacted.colIdx), fn, outName, stp, allParties)

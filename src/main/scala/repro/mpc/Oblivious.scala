@@ -1,15 +1,8 @@
 package repro.mpc
 
-import scala.collection.mutable.ArrayBuffer
+import repro.core.AggFn
 
-/** Aggregation functions supported under MPC. */
-sealed trait MAggFn
-object MAggFn {
-  case object Sum extends MAggFn
-  case object Count extends MAggFn
-  case object Min extends MAggFn
-  case object Max extends MAggFn
-}
+import scala.collection.mutable.ArrayBuffer
 
 /** Data-oblivious relational algorithms, generic over the MPC engine.
   *
@@ -182,7 +175,7 @@ object Oblivious {
       rel: SharedRelation,
       groupIdxs: Seq[Int],
       aggIdx: Option[Int],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
       preSorted: Boolean = false,
   ): SharedRelation = {
@@ -201,45 +194,66 @@ object Oblivious {
 
     // Initial per-row contribution, gated by validity.
     def contribution(i: Int): MpcVal = fn match {
-      case MAggFn.Count => e.mulPub(valid(i), Fixed.Scale)
-      case MAggFn.Sum   => e.mulFlag(valid(i), sorted.rows(i)(aggIdx.get))
-      case MAggFn.Min   => e.mux(valid(i), sorted.rows(i)(aggIdx.get), e.input(Fixed.Big))
-      case MAggFn.Max   => e.mux(valid(i), sorted.rows(i)(aggIdx.get), e.input(-Fixed.Big))
+      case AggFn.Count => e.mulPub(valid(i), Fixed.Scale)
+      case AggFn.Sum   => e.mulFlag(valid(i), sorted.rows(i)(aggIdx.get))
+      case AggFn.Min   => e.mux(valid(i), sorted.rows(i)(aggIdx.get), e.input(Fixed.Big))
+      case AggFn.Max   => e.mux(valid(i), sorted.rows(i)(aggIdx.get), e.input(-Fixed.Big))
     }
-    val agg = ArrayBuffer.tabulate(n)(contribution)
 
     def sameGroup(i: Int, j: Int): MpcVal =
       groupIdxs.foldLeft(e.input(1L)) { (acc, c) =>
         e.and(acc, e.eq(sorted.rows(i)(c), sorted.rows(j)(c)))
       }
 
-    // same(i): row i continues row i-1's group. Gated by row i's validity so
-    // an invalid row with an equal key can never absorb (and then drop) a
-    // group's accumulated aggregate.
-    val same = new Array[MpcVal](n)
+    // Row i continues row i-1's group. Gated by row i's validity so an
+    // invalid row with an equal key can never absorb (and then drop) a
+    // group's accumulated aggregate; only valid run ends are kept.
+    foldRuns(e, sorted, groupIdxs, fn, outName, contribution,
+      i => e.and(sameGroup(i, i - 1), valid(i)), Some(valid))
+  }
+
+  /** The tail of every sort-based grouped aggregation (this module's and the
+    * hybrid one): obliviously fold each run of rows into its last row, then
+    * shuffle the rows together with their keep flags, open the flags and
+    * discard the rest. Reveals the number of runs kept.
+    *
+    * `contribution(i)` is row i's initial value. `same(i)`, evaluated once
+    * per row in order just before its fold step, flags that row i continues
+    * row i-1's run. A run end is kept when `valid` (if given) flags it.
+    * Output schema: group columns ++ [outName].
+    */
+  private[mpc] def foldRuns(
+      e: MpcEngine,
+      sorted: SharedRelation,
+      groupIdxs: Seq[Int],
+      fn: AggFn,
+      outName: String,
+      contribution: Int => MpcVal,
+      same: Int => MpcVal,
+      valid: Option[IndexedSeq[MpcVal]],
+  ): SharedRelation = {
+    val n = sorted.size
+    val agg = Array.tabulate(n)(contribution)
+    val sameFlags = new Array[MpcVal](n)
     var i = 1
     while (i < n) {
-      same(i) = e.and(sameGroup(i, i - 1), valid(i))
-      fn match {
-        case MAggFn.Sum | MAggFn.Count =>
-          agg(i) = e.add(agg(i), e.mulFlag(same(i), agg(i - 1)))
-        case MAggFn.Min =>
-          val take = e.and(same(i), e.lt(agg(i - 1), agg(i)))
-          agg(i) = e.mux(take, agg(i - 1), agg(i))
-        case MAggFn.Max =>
-          val take = e.and(same(i), e.lt(agg(i), agg(i - 1)))
-          agg(i) = e.mux(take, agg(i - 1), agg(i))
+      sameFlags(i) = same(i)
+      agg(i) = fn match {
+        case AggFn.Sum | AggFn.Count => e.add(agg(i), e.mulFlag(sameFlags(i), agg(i - 1)))
+        case AggFn.Min => e.mux(e.and(sameFlags(i), e.lt(agg(i - 1), agg(i))), agg(i - 1), agg(i))
+        case AggFn.Max => e.mux(e.and(sameFlags(i), e.lt(agg(i), agg(i - 1))), agg(i - 1), agg(i))
       }
       i += 1
     }
 
-    // Keep the last row of each (valid) group.
+    // Keep the last row of each run.
     val keep = Vector.tabulate(n) { i =>
-      val lastOfRun = if (i == n - 1) e.input(1L) else e.not(same(i + 1))
-      e.and(lastOfRun, valid(i))
+      val lastOfRun = if (i == n - 1) e.input(1L) else e.not(sameFlags(i + 1))
+      valid.fold(lastOfRun)(v => e.and(lastOfRun, v(i)))
     }
 
     // Shuffle rows together with their keep flags, then open the flags.
+    val outSchema = groupIdxs.map(sorted.schema).toVector :+ outName
     val tagged = SharedRelation(
       outSchema :+ "__keep",
       Vector.tabulate(n)(i => groupIdxs.map(sorted.rows(i)).toVector :+ agg(i) :+ keep(i)),
@@ -256,24 +270,24 @@ object Oblivious {
       e: MpcEngine,
       rel: SharedRelation,
       aggIdx: Option[Int],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
   ): SharedRelation = {
     e.chargeRows(rel.size.toLong, 1L)
     val valid = rel.validity.getOrElse(Vector.fill(rel.size)(e.input(1L)))
     val result = fn match {
-      case MAggFn.Count =>
+      case AggFn.Count =>
         valid.foldLeft(e.input(0L))((acc, v) => e.add(acc, e.mulPub(v, Fixed.Scale)))
-      case MAggFn.Sum =>
+      case AggFn.Sum =>
         rel.rows.indices.foldLeft(e.input(0L)) { (acc, i) =>
           e.add(acc, e.mulFlag(valid(i), rel.rows(i)(aggIdx.get)))
         }
-      case MAggFn.Min =>
+      case AggFn.Min =>
         rel.rows.indices.foldLeft(e.input(Fixed.Big)) { (acc, i) =>
           val x = e.mux(valid(i), rel.rows(i)(aggIdx.get), e.input(Fixed.Big))
           e.mux(e.lt(x, acc), x, acc)
         }
-      case MAggFn.Max =>
+      case AggFn.Max =>
         rel.rows.indices.foldLeft(e.input(-Fixed.Big)) { (acc, i) =>
           val x = e.mux(valid(i), rel.rows(i)(aggIdx.get), e.input(-Fixed.Big))
           e.mux(e.lt(acc, x), x, acc)
@@ -337,10 +351,8 @@ object Oblivious {
       rKeys: Seq[Int],
   ): SharedRelation = {
     require(lKeys.length == rKeys.length, "join key arity mismatch")
-    val lRest = left.schema.indices.filterNot(lKeys.contains)
-    val rRest = right.schema.indices.filterNot(rKeys.contains)
-    val outSchema =
-      lKeys.map(left.schema).toVector ++ lRest.map(left.schema) ++ rRest.map(right.schema)
+    val layout = new JoinLayout(lKeys, rKeys, left.width, right.width)
+    val outSchema = layout(left.schema, right.schema)
 
     val n = left.size.toLong; val m = right.size.toLong
     require(n * m <= 2_000_000_000L,
@@ -364,8 +376,7 @@ object Oblivious {
         // anyway). The O(n·m) oblivious equality tests above dominate, as
         // in the paper's complexity analysis (§5.3).
         if (e.idealOpen(f) == 1L) {
-          matches += (lKeys.map(left.rows(i)).toVector ++
-            lRest.map(left.rows(i)) ++ rRest.map(right.rows(j)))
+          matches += layout(left.rows(i), right.rows(j))
         }
         j += 1
       }

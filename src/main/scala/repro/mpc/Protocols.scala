@@ -1,8 +1,9 @@
 package repro.mpc
 
-import repro.core.Party
+import repro.core.{AggFn, Party}
 
 import scala.collection.mutable
+import scala.math.Ordering.Implicits.seqOrdering
 
 /** Conclave's hybrid MPC–cleartext protocols (paper §5.3, Fig. 3).
   *
@@ -15,6 +16,40 @@ import scala.collection.mutable
   * occurs and no more.
   */
 object Protocols {
+
+  /** Reveal the key columns `keys` of `rel` to `to` in one opening round;
+    * each is logged as a column leak named `prefix` + column name.
+    */
+  private def revealKeys(
+      e: MpcEngine,
+      leakage: LeakageLog,
+      relName: String,
+      rel: SharedRelation,
+      keys: Seq[Int],
+      prefix: String,
+      to: Set[Party],
+  ): Vector[Vector[Long]] = {
+    keys.foreach(k => leakage.record(ColumnLeak(relName, prefix + rel.schema(k), to)))
+    e.chargeRows(rel.size.toLong, keys.length.toLong)
+    if (rel.size > 0) e.openMany(Seq.empty) // one opening round for the columns
+    rel.rows.map(r => keys.map(k => e.idealOpen(r(k))).toVector)
+  }
+
+  /** Cleartext hash join over per-row keys, as the STP or host computes it:
+    * every (i, j) with `left(i) == right(j)`, by right row and then left row.
+    * With `inKeyOrder` the pairs are stably sorted by key — free in the
+    * clear, and it lets MPC consumers skip oblivious sorts on the key.
+    */
+  def matchKeys[K: Ordering](left: IndexedSeq[K], right: IndexedSeq[K],
+      inKeyOrder: Boolean): Vector[(Int, Int)] = {
+    val byKey = mutable.HashMap.empty[K, mutable.ArrayBuffer[Int]]
+    left.indices.foreach(i => byKey.getOrElseUpdate(left(i), mutable.ArrayBuffer.empty) += i)
+    val pairs = for {
+      j <- right.indices.toVector
+      i <- byKey.getOrElse(right(j), mutable.ArrayBuffer.empty[Int])
+    } yield (i, j)
+    if (inKeyOrder) pairs.sortBy(p => right(p._2)) else pairs
+  }
 
   /** Hybrid join (Fig. 3): oblivious shuffles, key columns revealed to the
     * STP, cleartext join at the STP, then oblivious indexing (Laud [45]) to
@@ -43,31 +78,17 @@ object Protocols {
 
     // 2-4. Project the key columns, reveal them to the STP; the STP
     //      enumerates rows and joins in the clear.
-    def revealKeys(rel: SharedRelation, keys: Seq[Int], side: String): Vector[Vector[Long]] = {
-      keys.foreach(k => leakage.record(ColumnLeak(relName, s"$side:${rel.schema(k)}", Set(stp))))
-      e.chargeRows(rel.size.toLong, keys.length.toLong)
-      if (rel.size > 0) e.openMany(Seq.empty) // one opening round for the column
-      rel.rows.map(r => keys.map(k => e.idealOpen(r(k))).toVector)
-    }
-    val lKeyRows = revealKeys(lS, lKeys, "left")
-    val rKeyRows = revealKeys(rS, rKeys, "right")
-
-    // Cleartext hash join at the STP over (key, rowIndex) pairs.
-    val byKey = mutable.HashMap.empty[Vector[Long], mutable.ArrayBuffer[Int]]
-    lKeyRows.zipWithIndex.foreach { case (k, i) =>
-      byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += i
-    }
-    val pairs = for {
-      (k, j) <- rKeyRows.zipWithIndex
-      i <- byKey.getOrElse(k, mutable.ArrayBuffer.empty)
-    } yield (i, j)
+    val pairs = matchKeys(
+      revealKeys(e, leakage, relName, lS, lKeys, "left:", Set(stp)),
+      revealKeys(e, leakage, relName, rS, rKeys, "right:", Set(stp)),
+      inKeyOrder = false)
 
     // All parties learn the join's output cardinality.
     leakage.record(CardinalityLeak(relName, pairs.length.toLong, allParties))
 
     // 5. The STP secret-shares the two index relations back into the MPC.
-    val lIdx = pairs.map(p => e.input(p._1.toLong)).toVector
-    val rIdx = pairs.map(p => e.input(p._2.toLong)).toVector
+    val lIdx = pairs.map(p => e.input(p._1.toLong))
+    val rIdx = pairs.map(p => e.input(p._2.toLong))
     e.chargeRows(pairs.length.toLong, 2L)
 
     // 6. Oblivious indexing recovers the joined rows under MPC.
@@ -75,15 +96,10 @@ object Protocols {
     val rRows = Oblivious.select(e, rS, rIdx)
 
     // 7. Concatenate column-wise and reshuffle.
-    val lRest = left.schema.indices.filterNot(lKeys.contains)
-    val rRest = right.schema.indices.filterNot(rKeys.contains)
-    val outSchema =
-      lKeys.map(left.schema).toVector ++ lRest.map(left.schema) ++ rRest.map(right.schema)
+    val layout = new JoinLayout(lKeys, rKeys, left.width, right.width)
     val joined = SharedRelation(
-      outSchema,
-      lRows.rows.lazyZip(rRows.rows).map { (lr, rr) =>
-        lKeys.map(lr).toVector ++ lRest.map(lr) ++ rRest.map(rr)
-      }.toVector,
+      layout(left.schema, right.schema),
+      lRows.rows.lazyZip(rRows.rows).map(layout(_, _)).toVector,
       None,
     )
     Oblivious.shuffle(e, joined)
@@ -109,39 +125,16 @@ object Protocols {
   ): SharedRelation = {
     require(left.validity.isEmpty && right.validity.isEmpty,
       "public join requires compacted inputs")
-    def openKeys(rel: SharedRelation, keys: Seq[Int], side: String): Vector[Vector[Long]] = {
-      keys.foreach(k => leakage.record(ColumnLeak(relName, s"$side:${rel.schema(k)}", allParties)))
-      e.chargeRows(rel.size.toLong, keys.length.toLong)
-      if (rel.size > 0) e.openMany(Seq.empty)
-      rel.rows.map(r => keys.map(k => e.idealOpen(r(k))).toVector)
-    }
-    val lKeyRows = openKeys(left, lKeys, "left")
-    val rKeyRows = openKeys(right, rKeys, "right")
-
-    val byKey = mutable.HashMap.empty[Vector[Long], mutable.ArrayBuffer[Int]]
-    rKeyRows.zipWithIndex.foreach { case (k, j) =>
-      byKey.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += j
-    }
-    // Sorted by key: the host returns matches in key order (free in the
-    // clear) so MPC consumers can skip oblivious sorts on the key.
-    import scala.math.Ordering.Implicits.seqOrdering
-    val pairs = lKeyRows.zipWithIndex
-      .flatMap { case (k, i) => byKey.getOrElse(k, mutable.ArrayBuffer.empty).map(j => (k, i, j)) }
-      .sortBy(t => t._1: Seq[Long])
+    val pairs = matchKeys(
+      revealKeys(e, leakage, relName, left, lKeys, "left:", allParties),
+      revealKeys(e, leakage, relName, right, rKeys, "right:", allParties),
+      inKeyOrder = true)
     leakage.record(CardinalityLeak(relName, pairs.length.toLong, allParties))
 
-    val lRest = left.schema.indices.filterNot(lKeys.contains)
-    val rRest = right.schema.indices.filterNot(rKeys.contains)
-    val outSchema =
-      lKeys.map(left.schema).toVector ++ lRest.map(left.schema) ++ rRest.map(right.schema)
+    val layout = new JoinLayout(lKeys, rKeys, left.width, right.width)
+    val outSchema = layout(left.schema, right.schema)
     e.chargeRows(pairs.length.toLong, outSchema.length.toLong)
-    SharedRelation(
-      outSchema,
-      pairs.map { case (_, i, j) =>
-        lKeys.map(left.rows(i)).toVector ++ lRest.map(left.rows(i)) ++ rRest.map(right.rows(j))
-      }.toVector,
-      None,
-    )
+    SharedRelation(outSchema, pairs.map { case (i, j) => layout(left.rows(i), right.rows(j)) }, None)
   }
 
   /** Hybrid aggregation (§5.3): oblivious shuffle, group-by column revealed
@@ -157,27 +150,23 @@ object Protocols {
       rel: SharedRelation,
       groupIdxs: Seq[Int],
       aggIdx: Option[Int],
-      fn: MAggFn,
+      fn: AggFn,
       outName: String,
       stp: Party,
       allParties: Set[Party],
   ): SharedRelation = {
     require(rel.validity.isEmpty, "hybrid aggregation requires a compacted input")
     require(groupIdxs.nonEmpty, "hybrid aggregation needs group-by columns")
-    val outSchema = groupIdxs.map(rel.schema).toVector :+ outName
-    if (rel.size == 0) return SharedRelation(outSchema, Vector.empty, None)
+    if (rel.size == 0)
+      return SharedRelation(groupIdxs.map(rel.schema).toVector :+ outName, Vector.empty, None)
 
     // 1. Oblivious shuffle, then reveal the (shuffled) group-by column(s)
     //    to the STP.
     val shuffled = Oblivious.shuffle(e, rel)
-    groupIdxs.foreach(g => leakage.record(ColumnLeak(relName, rel.schema(g), Set(stp))))
-    e.chargeRows(shuffled.size.toLong, groupIdxs.length.toLong)
-    e.openMany(Seq.empty)
-    val keys = shuffled.rows.map(r => groupIdxs.map(g => e.idealOpen(r(g))).toVector)
+    val keys = revealKeys(e, leakage, relName, shuffled, groupIdxs, "", Set(stp))
 
     // 2-4. STP: enumerate, sort by key, compute equality flags, publish the
     //      ordering (public) and secret-share the flags.
-    import scala.math.Ordering.Implicits.seqOrdering
     val order = keys.indices.sortBy(keys)
     val eqFlags = order.indices.map { pos =>
       if (pos == 0) 0L
@@ -190,44 +179,13 @@ object Protocols {
     // 5-6. Parties reorder the shuffled relation by the public ordering.
     val sorted = Oblivious.applyPublicPermutation(e, shuffled, order)
 
-    // 7. Linear oblivious accumulation into each group's last row.
-    val n = sorted.size
-    val agg = new Array[MpcVal](n)
-    var i = 0
-    while (i < n) {
-      agg(i) = fn match {
-        case MAggFn.Count => e.input(Fixed.Scale)
-        case _            => sorted.rows(i)(aggIdx.get)
-      }
-      i += 1
-    }
-    i = 1
-    while (i < n) {
-      fn match {
-        case MAggFn.Sum | MAggFn.Count =>
-          agg(i) = e.add(agg(i), e.mulFlag(same(i), agg(i - 1)))
-        case MAggFn.Min =>
-          val take = e.and(same(i), e.lt(agg(i - 1), agg(i)))
-          agg(i) = e.mux(take, agg(i - 1), agg(i))
-        case MAggFn.Max =>
-          val take = e.and(same(i), e.lt(agg(i), agg(i - 1)))
-          agg(i) = e.mux(take, agg(i - 1), agg(i))
-      }
-      i += 1
-    }
-    val keep = Vector.tabulate(n)(i => if (i == n - 1) e.input(1L) else e.not(same(i + 1)))
-
-    // 8. Shuffle, open keep flags, discard: all parties learn the number of
-    //    groups (the output size).
-    val tagged = SharedRelation(
-      outSchema :+ "__keep",
-      Vector.tabulate(n)(i => groupIdxs.map(sorted.rows(i)).toVector :+ agg(i) :+ keep(i)),
-      None,
-    )
-    val reshuffled = Oblivious.shuffle(e, tagged)
-    val flags = e.openMany(reshuffled.rows.map(_.last))
-    val outRows = reshuffled.rows.lazyZip(flags).collect { case (r, 1L) => r.dropRight(1) }.toVector
-    leakage.record(CardinalityLeak(relName, outRows.length.toLong, allParties))
-    SharedRelation(outSchema, outRows, None)
+    // 7-8. Linear oblivious accumulation into each group's last row; then
+    //      shuffle, open keep flags, discard: all parties learn the number
+    //      of groups (the output size).
+    val out = Oblivious.foldRuns(e, sorted, groupIdxs, fn, outName,
+      i => if (fn == AggFn.Count) e.input(Fixed.Scale) else sorted.rows(i)(aggIdx.get),
+      same, None)
+    leakage.record(CardinalityLeak(relName, out.size.toLong, allParties))
+    out
   }
 }

@@ -30,3 +30,16 @@ final case class SharedRelation(
 
   def colIdxs(names: Seq[String]): Vector[Int] = names.map(colIdx).toVector
 }
+
+/** Column layout of every join's output: left keys ++ left rest ++ right
+  * rest (the right keys equal the left ones and are dropped). `left` and
+  * `right` give each side's share of a row, `apply` the joined row.
+  */
+final class JoinLayout(lKeys: Seq[Int], rKeys: Seq[Int], lWidth: Int, rWidth: Int) {
+  private val lCols = lKeys ++ (0 until lWidth).filterNot(lKeys.contains)
+  private val rCols = (0 until rWidth).filterNot(rKeys.contains)
+
+  def left[A](row: IndexedSeq[A]): Vector[A] = lCols.iterator.map(row).toVector
+  def right[A](row: IndexedSeq[A]): Vector[A] = rCols.iterator.map(row).toVector
+  def apply[A](l: IndexedSeq[A], r: IndexedSeq[A]): Vector[A] = left(l) ++ right(r)
+}

@@ -1,6 +1,8 @@
 package repro.queries
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
+import repro.smcql.Slicing
 
 /** Aspirin-count query from the SMCQL paper, evaluated in §7.4 (Fig. 7a).
   *
@@ -45,6 +47,25 @@ object AspirinCount {
       .aggregate(Seq.empty, AggFn.Count, None, "rc")
       .writeTo(OutputName, pH1)
     dag
+  }
+
+  /** SMCQL's slicing of the four inputs on the public patient id (§7.4):
+    * per party, a "diag" and a "med" relation.
+    */
+  def slice(spark: SparkSession, inputs: Map[String, DataFrame]): Slicing.Sliced =
+    Slicing.slice(spark,
+      Seq(
+        Map("diag" -> inputs("diag1"), "med" -> inputs("med1")),
+        Map("diag" -> inputs("diag2"), "med" -> inputs("med2"))),
+      keyCol = "patient")
+
+  /** The query in the clear over one party's "diag" and "med" slices (Spark). */
+  def countClear(rels: Map[String, DataFrame]): Long = {
+    import org.apache.spark.sql.functions.col
+    val d = rels("diag").where(col("diag") === TargetDiag).alias("d")
+    val m = rels("med").where(col("med") === TargetMed).alias("m")
+    d.join(m, col("d.patient") === col("m.patient") && col("m.mtime") >= col("d.dtime"))
+      .select(col("d.patient")).distinct().count()
   }
 
   /** Cleartext reference over the union of both hospitals' inputs. */

@@ -1,10 +1,8 @@
 package repro.queries
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core._
 import repro.mpc.MpcBackend
-import repro.smcql.Slicing
 
 /** Conclave + slicing driver for aspirin count, mirroring §7.4: "we manually
   * implement SMCQL's slicing and combine it with Conclave's public join".
@@ -25,19 +23,10 @@ object AspirinSliced {
   def run(spark: SparkSession, inputs: Map[String, DataFrame],
       maxCloseRows: Long = 5_000_000L): Result = {
     val t0 = System.nanoTime()
-    val sliced = Slicing.slice(spark,
-      Seq(
-        Map("diag" -> inputs("diag1"), "med" -> inputs("med1")),
-        Map("diag" -> inputs("diag2"), "med" -> inputs("med2"))),
-      keyCol = "patient")
+    val sliced = AspirinCount.slice(spark, inputs)
 
     // Local slices in the clear, per party.
-    val localCount = sliced.localParts.map { rels =>
-      val d = rels("diag").where(col("diag") === AspirinCount.TargetDiag).alias("d")
-      val m = rels("med").where(col("med") === AspirinCount.TargetMed).alias("m")
-      d.join(m, col("d.patient") === col("m.patient") && col("m.mtime") >= col("d.dtime"))
-        .select(col("d.patient")).distinct().count()
-    }.sum
+    val localCount = sliced.localParts.map(AspirinCount.countClear).sum
     val localSeconds = (System.nanoTime() - t0) / 1e9
 
     // Shared slices through the compiled Conclave plan.

@@ -1,8 +1,7 @@
 package repro.smcql
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.Party
+import repro.core.{AggFn, CmpOp, Party}
 import repro.mpc._
 import repro.queries.AspirinCount
 
@@ -28,16 +27,10 @@ object SmcqlAspirin {
   /** @param inputs diag1/diag2/med1/med2 DataFrames (patient, diag|med, time) */
   def run(spark: SparkSession, inputs: Map[String, DataFrame]): Result = {
     val t0 = System.nanoTime()
-    val sliced = Slicing.slice(spark,
-      Seq(
-        Map("diag" -> inputs("diag1"), "med" -> inputs("med1")),
-        Map("diag" -> inputs("diag2"), "med" -> inputs("med2"))),
-      keyCol = "patient")
+    val sliced = AspirinCount.slice(spark, inputs)
 
     // Local slices: the whole query per party, in the clear (Spark).
-    val localCount = sliced.localParts.map { rels =>
-      countAspirin(rels("diag"), rels("med"))
-    }.sum
+    val localCount = sliced.localParts.map(AspirinCount.countClear).sum
 
     // Shared slices: one ObliVM MPC per patient ID.
     val byPatient = sliced.sharedParts.map { rels =>
@@ -72,22 +65,14 @@ object SmcqlAspirin {
     val mRel = b.close(s"$name:m", Seq("patient", "med", "mtime"), m)
     val j = b.join(name, dRel, mRel, Seq("patient"), Seq("patient"))
     val f = b.filterCol(
-      b.filterLit(b.filterLit(j, "diag", MCmp.Eq, AspirinCount.TargetDiag),
-        "med", MCmp.Eq, AspirinCount.TargetMed),
-      "mtime", MCmp.Geq, "dtime")
+      b.filterLit(b.filterLit(j, "diag", CmpOp.Eq, AspirinCount.TargetDiag),
+        "med", CmpOp.Eq, AspirinCount.TargetMed),
+      "mtime", CmpOp.Geq, "dtime")
     val dist = b.distinct(b.project(f, Seq("patient")), preSorted = false)
-    val cnt = b.globalAggregate(dist, None, MAggFn.Count, "c")
+    val cnt = b.globalAggregate(dist, None, AggFn.Count, "c")
     Oblivious.reveal(b.engine, cnt).head.head.toLong
   }
 
   private def collectRows(df: DataFrame): Seq[Seq[Double]] =
     df.collect().toSeq.map(r => (0 until r.length).map(i => r.getDouble(i)))
-
-  /** Cleartext aspirin count over one party's slices (Spark). */
-  private def countAspirin(d: DataFrame, m: DataFrame): Long = {
-    val dd = d.where(col("diag") === AspirinCount.TargetDiag).alias("d")
-    val mm = m.where(col("med") === AspirinCount.TargetMed).alias("m")
-    dd.join(mm, col("d.patient") === col("m.patient") && col("m.mtime") >= col("d.dtime"))
-      .select(col("d.patient")).distinct().count()
-  }
 }

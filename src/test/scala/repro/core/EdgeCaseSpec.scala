@@ -107,4 +107,45 @@ class EdgeCaseSpec extends SparkSpec {
     val res = run(dag, inputs)
     assert(res.outputs("out").count() == 3)
   }
+
+  test("an MPC top-k after a filter returns the k largest survivors") {
+    def dag(): Dag = {
+      val dag = new Dag
+      val q = new Dsl(dag)
+      import q._
+      concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+        .sum(Seq("k"), "v", "s").filter("s", CmpOp.Gt, 10)
+        .sortBy("s", ascending = false).limit(2)
+        .writeTo("out", pA)
+      dag
+    }
+    val inputs = Map(
+      "t" -> df((1 to 8).map(i => (i.toDouble, 10.0 * i))),
+      "u" -> df((1 to 8).map(i => (i.toDouble, 1.0))))
+    for (seed <- Seq(1L, 2L, 3L, 42L)) {
+      val res = new Executor(spark, MpcBackend.sharemind(Set(pA, pB), seed))
+        .run(Compiler.compile(dag(), CompileConfig.default), inputs)
+      Oracle.assertEquivalent(res.outputs("out"),
+        """SELECT * FROM (SELECT k, SUM(CAST(v AS DOUBLE)) AS s
+          |  FROM (SELECT * FROM t UNION ALL SELECT * FROM u) GROUP BY k)
+          |WHERE s > 10 ORDER BY s DESC LIMIT 2""".stripMargin,
+        "t" -> inputs("t"), "u" -> inputs("u"))
+    }
+  }
+
+  test("a distinct that re-sorts its input does not pre-sort a later distinct") {
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    concat(table("t", pA, col("k"), col("v")), table("u", pB, col("k"), col("v")))
+      .sortBy("v").distinct.project("v").distinct
+      .writeTo("out", pA)
+    val inputs = Map(
+      "t" -> df(Seq((1.0, 5.0), (2.0, 3.0), (3.0, 5.0))),
+      "u" -> df(Seq((4.0, 3.0), (5.0, 9.0))))
+    val res = run(dag, inputs)
+    Oracle.assertEquivalent(res.outputs("out"),
+      "SELECT DISTINCT v FROM (SELECT * FROM t UNION ALL SELECT * FROM u)",
+      "t" -> inputs("t"), "u" -> inputs("u"))
+  }
 }

@@ -153,6 +153,36 @@ class ExecutorSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](ex.run(plan, inputs))
   }
 
+  test("public join over cleartext inputs reveals rows in numeric key order") {
+    val dag = new Dag
+    val q = new Dsl(dag)
+    import q._
+    table("t", pA, publicCol("k"), col("x"))
+      .join(table("u", pB, publicCol("k"), col("y")), Seq("k"), Seq("k"))
+      .writeTo("out", pA)
+    def rel(cols: (String, String), rows: Seq[(Double, Double)]): DataFrame = {
+      import spark.implicits._
+      rows.toDF(cols._1, cols._2)
+    }
+    val inputs = Map(
+      "t" -> rel(("k", "x"), Seq((11.0, 1.0), (2.0, 2.0), (9.0, 3.0), (2.0, 4.0))),
+      "u" -> rel(("k", "y"), Seq((9.0, 10.0), (2.0, 20.0), (11.0, 30.0), (11.0, 40.0))))
+    val plan = Compiler.compile(dag, CompileConfig.default)
+    val join = plan.dag.nodes.find(_.kind.isInstanceOf[OpKind.PublicJoin])
+    assert(join.isDefined, s"expected a public join:\n${plan.describe}")
+    val res = new Executor(spark, MpcBackend.sharemind(Set(pA, pB))).run(plan, inputs)
+
+    val out = res.outputs("out")
+    assert(out.collect().map(_.getDouble(0)).toSeq == Seq(2.0, 2.0, 9.0, 11.0, 11.0),
+      "numeric key order, not string order")
+    Oracle.assertEquivalent(out, "SELECT t.k AS k, t.x AS x, u.y AS y FROM t JOIN u ON t.k = u.k",
+      "t" -> inputs("t"), "u" -> inputs("u"))
+    assert(res.leakage.columns.map(c => (c.column, c.to)) ==
+      Seq(("left:k", Set(pA, pB)), ("right:k", Set(pA, pB))))
+    assert(res.leakage.cardinalities.exists(c =>
+      c.relation == s"#${join.get.id}" && c.rows == 5L && c.to == Set(pA, pB)))
+  }
+
   // --------------------------------------------------- market concentration
 
   test("market concentration: per-company revenue matches DuckDB bit-for-bit") {
