@@ -11,10 +11,9 @@ import repro.mpc._
   * garbled-circuit backend ("obliv-c"), and insecure cleartext Spark.
   *
   * MPC numbers are the cost model's modeled seconds over actually-executed
-  * oblivious operations; points whose dominant term alone exceeds the
-  * paper's two-hour cap are reported as ">2h" without execution, and
-  * garbled-circuit points beyond the simulated memory ceiling as "OOM" —
-  * matching how the paper's own curves end.
+  * oblivious operations; points the meter stops at the paper's two-hour cap
+  * are reported as ">2h", and garbled-circuit points beyond the simulated
+  * memory ceiling as "OOM" — matching how the paper's own curves end.
   */
 object Fig1Microbench {
 
@@ -42,72 +41,48 @@ object Fig1Microbench {
     mpc ++ clear
   }
 
-  /** Cheap dominant-term estimate, to honor the 2-hour cap without running. */
-  private def estimate(params: CostParams, op: OpKindT, n: Long): Double = {
-    def exchanges(m: Long): Double = {
-      if (m <= 1) return 0.0
-      var p = 1L; while (p < m) p <<= 1
-      val log = java.lang.Long.numberOfTrailingZeros(p).toDouble
-      p / 4.0 * log * (log + 1)
-    }
-    val gatePerExchange = 64.0 * 8 // cmp + eq + row muxes
-    op match {
-      case AggOp =>
-        if (params.gate > 0) exchanges(n) * gatePerExchange * params.gate
-        else exchanges(n) * params.cmp
-      case JoinOp =>
-        val pairs = (n / 2.0) * (n / 2.0)
-        if (params.gate > 0) pairs * 64 * 3 * params.gate else pairs * params.eq
-      case ProjectOp => n * params.rowTouch
-    }
-  }
-
-  private def mpcPoint(sys: String, b: MpcBackend, op: OpKindT, n: Long): BenchPoint = {
-    if (estimate(b.meter.params, op, n) > Bench.TimeoutSeconds)
-      return BenchPoint(sys, n, None, ">2h")
-    try {
+  private[eval] def mpcPoint(sys: String, b: MpcBackend, op: OpKindT, n: Long): BenchPoint =
+    Bench.point(sys, n) {
       op match {
         case AggOp =>
-          val rows = mkRows(n, nKeys = math.max(1, n / 10))
+          val rows = keyedRows(n, nKeys = math.max(1, n / 10))
           b.aggregate("agg", b.close("in", Seq("k", "v"), rows), Seq("k"), Some("v"),
             AggFn.Sum, "s")
         case JoinOp =>
-          val l = mkRows(n / 2, nKeys = math.max(1, n / 2))
-          val r = mkRows(n - n / 2, nKeys = math.max(1, n / 2))
+          val l = keyedRows(n / 2, nKeys = math.max(1, n / 2))
+          val r = keyedRows(n - n / 2, nKeys = math.max(1, n / 2))
           b.join("join", b.close("l", Seq("k", "x"), l), b.close("r", Seq("k", "y"), r),
             Seq("k"), Seq("k"))
         case ProjectOp =>
-          val rows = mkRows(n, nKeys = math.max(1, n / 10))
+          val rows = keyedRows(n, nKeys = math.max(1, n / 10))
           b.project(b.close("in", Seq("k", "v"), rows), Seq("k"))
       }
-      val s = b.meter.modeledSeconds
-      if (s > Bench.TimeoutSeconds) BenchPoint(sys, n, None, ">2h")
-      else BenchPoint(sys, n, Some(s))
-    } catch {
-      case _: MpcOutOfMemory => BenchPoint(sys, n, None, "OOM")
+      b.meter.modeledSeconds
     }
-  }
 
-  private def mkRows(n: Long, nKeys: Long): Seq[Seq[Double]] = {
-    val rnd = new scala.util.Random(n * 31 + nKeys)
-    (0L until n).map(_ => Seq((rnd.nextLong(nKeys) + 1).toDouble, rnd.nextInt(1000).toDouble))
-  }
+  private def keyedRows(n: Long, nKeys: Long): Seq[Seq[Double]] =
+    Bench.keyedRows(n, nKeys, seed = n * 31 + nKeys)
 
   private def sparkPoint(spark: SparkSession, op: OpKindT, n: Long): BenchPoint = {
-    val df = Generators.keyed(spark, n, math.max(1, n / 10)).cache()
-    df.count() // materialize input outside the timed window
-    val (_, secs) = Bench.timed {
-      op match {
-        case AggOp     => df.groupBy("k").agg(sum("v")).count()
-        case JoinOp    =>
-          val l = Generators.keyed(spark, n / 2, math.max(1, n / 2), seed = 62).cache()
-          val r = Generators.keyed(spark, n - n / 2, math.max(1, n / 2), seed = 63).cache()
-          l.count(); r.count()
-          l.alias("l").join(r.alias("r"), col("l.k") === col("r.k")).count()
-        case ProjectOp => df.select("k").count()
-      }
+    val inputs = (op match {
+      case JoinOp =>
+        Seq(Generators.keyed(spark, n / 2, math.max(1, n / 2), seed = 62),
+          Generators.keyed(spark, n - n / 2, math.max(1, n / 2), seed = 63))
+      case _ => Seq(Generators.keyed(spark, n, math.max(1, n / 10)))
+    }).map(_.cache())
+    inputs.foreach(_.count()) // materialize inputs outside the timed window
+    val point = Bench.point("spark", n) {
+      Bench.timed {
+        op match {
+          case AggOp     => inputs.head.groupBy("k").agg(sum("v")).count()
+          case JoinOp    =>
+            val Seq(l, r) = inputs
+            l.alias("l").join(r.alias("r"), col("l.k") === col("r.k")).count()
+          case ProjectOp => inputs.head.select("k").count()
+        }
+      }._2
     }
-    df.unpersist()
-    BenchPoint("spark", n, Some(secs))
+    inputs.foreach(_.unpersist())
+    point
   }
 }

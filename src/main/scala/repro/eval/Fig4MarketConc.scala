@@ -27,36 +27,24 @@ object Fig4MarketConc {
       Seq(conclave(spark, n, in), sharemindOnly(spark, n, in), insecureSpark(spark, n, in))
     }
 
-  private def conclave(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint = {
-    val res = Bench.runConclave(spark, MarketConcentration.build(), CompileConfig.default,
-      in, Set(MarketConcentration.pA, MarketConcentration.pB, MarketConcentration.pC))
-    BenchPoint("conclave", n, Some(res.metrics.reportedSeconds))
-  }
+  private val parties = Set(MarketConcentration.pA, MarketConcentration.pB, MarketConcentration.pC)
 
-  private def sharemindOnly(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint = {
-    // Dominant term: the oblivious sorting network of the revenue
-    // aggregation over all n rows.
-    if (estimateAggSeconds(n) > Bench.TimeoutSeconds)
-      return BenchPoint("sharemind-mpc", n, None, ">2h")
-    val res = Bench.runConclave(spark, MarketConcentration.build(), CompileConfig.mpcOnly,
-      in, Set(MarketConcentration.pA, MarketConcentration.pB, MarketConcentration.pC))
-    val s = res.metrics.reportedSeconds
-    if (s > Bench.TimeoutSeconds) BenchPoint("sharemind-mpc", n, None, ">2h")
-    else BenchPoint("sharemind-mpc", n, Some(s))
-  }
+  private def conclave(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint =
+    Bench.point("conclave", n) {
+      Bench.runConclave(spark, MarketConcentration.build(), CompileConfig.default, in, parties)
+        .metrics.reportedSeconds
+    }
+
+  private def sharemindOnly(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint =
+    Bench.point("sharemind-mpc", n) {
+      Bench.runConclave(spark, MarketConcentration.build(), CompileConfig.mpcOnly, in, parties)
+        .metrics.reportedSeconds
+    }
 
   private def insecureSpark(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint = {
     in.foreach { case (nm, df) => df.createOrReplaceTempView(nm) }
-    val (_, secs) = Bench.timed {
-      spark.sql(MarketConcentration.referenceSql).collect()
+    Bench.point("insecure-spark", n) {
+      Bench.timed(spark.sql(MarketConcentration.referenceSql).collect())._2
     }
-    BenchPoint("insecure-spark", n, Some(secs))
-  }
-
-  private[eval] def estimateAggSeconds(n: Long): Double = {
-    if (n <= 1) return 0.0
-    var p = 1L; while (p < n) p <<= 1
-    val log = java.lang.Long.numberOfTrailingZeros(p).toDouble
-    p / 4.0 * log * (log + 1) * repro.mpc.CostParams.Sharemind.cmp
   }
 }

@@ -29,47 +29,38 @@ object Fig5Hybrid {
       Seq(mpcAgg(n), hybridAgg(n))
     }
 
-  private def mkRows(n: Long, nKeys: Long, seed: Long): Seq[Seq[Double]] = {
-    val rnd = new scala.util.Random(seed)
-    (0L until n).map(_ => Seq((rnd.nextLong(nKeys) + 1).toDouble, rnd.nextInt(1000).toDouble))
+  private def mpcJoin(n: Long): BenchPoint = Bench.point("mpc-join", n) {
+    val b = MpcBackend.sharemind(parties)
+    b.join("j", b.close("l", Seq("k", "x"), Bench.keyedRows(n, n, seed = 1)),
+      b.close("r", Seq("k", "y"), Bench.keyedRows(n, n, seed = 2)), Seq("k"), Seq("k"))
+    b.meter.modeledSeconds
   }
 
-  private def mpcJoin(n: Long): BenchPoint = {
-    if (n.toDouble * n * CostParams.Sharemind.eq > Bench.TimeoutSeconds)
-      return BenchPoint("mpc-join", n, None, ">2h")
+  private def hybridJoin(n: Long): BenchPoint = Bench.point("hybrid-join", n) {
     val b = MpcBackend.sharemind(parties)
-    b.join("j", b.close("l", Seq("k", "x"), mkRows(n, n, 1)),
-      b.close("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"))
-    BenchPoint("mpc-join", n, Some(b.meter.modeledSeconds))
+    b.hybridJoin("j", b.close("l", Seq("k", "x"), Bench.keyedRows(n, n, seed = 1)),
+      b.close("r", Seq("k", "y"), Bench.keyedRows(n, n, seed = 2)), Seq("k"), Seq("k"), stp = pC)
+    b.meter.modeledSeconds
   }
 
-  private def hybridJoin(n: Long): BenchPoint = {
+  private def publicJoin(n: Long): BenchPoint = Bench.point("public-join", n) {
     val b = MpcBackend.sharemind(parties)
-    b.hybridJoin("j", b.close("l", Seq("k", "x"), mkRows(n, n, 1)),
-      b.close("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"), stp = pC)
-    BenchPoint("hybrid-join", n, Some(b.meter.modeledSeconds))
+    b.publicJoin("j", b.close("l", Seq("k", "x"), Bench.keyedRows(n, n, seed = 1)),
+      b.close("r", Seq("k", "y"), Bench.keyedRows(n, n, seed = 2)), Seq("k"), Seq("k"), host = pA)
+    b.meter.modeledSeconds
   }
 
-  private def publicJoin(n: Long): BenchPoint = {
+  private def mpcAgg(n: Long): BenchPoint = Bench.point("mpc-agg", n) {
     val b = MpcBackend.sharemind(parties)
-    b.publicJoin("j", b.close("l", Seq("k", "x"), mkRows(n, n, 1)),
-      b.close("r", Seq("k", "y"), mkRows(n, n, 2)), Seq("k"), Seq("k"), host = pA)
-    BenchPoint("public-join", n, Some(b.meter.modeledSeconds))
-  }
-
-  private def mpcAgg(n: Long): BenchPoint = {
-    if (Fig4MarketConc.estimateAggSeconds(n) > Bench.TimeoutSeconds)
-      return BenchPoint("mpc-agg", n, None, ">2h")
-    val b = MpcBackend.sharemind(parties)
-    b.aggregate("a", b.close("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
+    b.aggregate("a", b.close("in", Seq("k", "v"), Bench.keyedRows(n, math.max(1, n / 10), seed = 3)),
       Seq("k"), Some("v"), AggFn.Sum, "s")
-    BenchPoint("mpc-agg", n, Some(b.meter.modeledSeconds))
+    b.meter.modeledSeconds
   }
 
-  private def hybridAgg(n: Long): BenchPoint = {
+  private def hybridAgg(n: Long): BenchPoint = Bench.point("hybrid-agg", n) {
     val b = MpcBackend.sharemind(parties)
-    b.hybridAggregate("a", b.close("in", Seq("k", "v"), mkRows(n, math.max(1, n / 10), 3)),
+    b.hybridAggregate("a", b.close("in", Seq("k", "v"), Bench.keyedRows(n, math.max(1, n / 10), seed = 3)),
       Seq("k"), Some("v"), AggFn.Sum, "s", stp = pC)
-    BenchPoint("hybrid-agg", n, Some(b.meter.modeledSeconds))
+    b.meter.modeledSeconds
   }
 }

@@ -3,7 +3,6 @@ package repro.eval
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.data.Generators
-import repro.mpc.CostParams
 import repro.queries.CreditRegulation
 
 /** Table T4 (paper Fig. 6): the credit-card regulation query end-to-end.
@@ -35,21 +34,15 @@ object Fig6Credit {
 
   private val parties = Set(CreditRegulation.pA, CreditRegulation.pB, CreditRegulation.pC)
 
-  private def conclaveHybrid(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint = {
-    val res = Bench.runConclave(spark, CreditRegulation.build(trustRegulator = true),
-      CompileConfig.default, in, parties)
-    BenchPoint("conclave-hybrid", n, Some(res.metrics.reportedSeconds))
-  }
+  private def conclaveHybrid(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint =
+    Bench.point("conclave-hybrid", n) {
+      Bench.runConclave(spark, CreditRegulation.build(trustRegulator = true),
+        CompileConfig.default, in, parties).metrics.reportedSeconds
+    }
 
-  private def sharemindOnly(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint = {
-    // Dominant term: the Cartesian join of demographics against the scores.
-    val pairs = (n / 2.0) * (n / 2.0)
-    if (pairs * CostParams.Sharemind.eq > Bench.TimeoutSeconds)
-      return BenchPoint("sharemind-mpc", n, None, ">2h")
-    val res = Bench.runConclave(spark, CreditRegulation.build(trustRegulator = false),
-      CompileConfig.mpcOnly, in, parties)
-    val s = res.metrics.reportedSeconds
-    if (s > Bench.TimeoutSeconds) BenchPoint("sharemind-mpc", n, None, ">2h")
-    else BenchPoint("sharemind-mpc", n, Some(s))
-  }
+  private def sharemindOnly(spark: SparkSession, n: Long, in: Map[String, DataFrame]): BenchPoint =
+    Bench.point("sharemind-mpc", n) {
+      Bench.runConclave(spark, CreditRegulation.build(trustRegulator = false),
+        CompileConfig.mpcOnly, in, parties).metrics.reportedSeconds
+    }
 }

@@ -1,9 +1,9 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.CompileConfig
 import repro.data.Generators
-import repro.mpc.CostParams
-import repro.queries.AspirinSliced
+import repro.queries.{AspirinSliced, Comorbidity}
 import repro.smcql.{SmcqlAspirin, SmcqlComorbidity}
 
 /** Tables T5/T6 (paper Fig. 7): Conclave vs. SMCQL on the two HealthLNK
@@ -35,50 +35,19 @@ object Fig7Smcql {
   def runAspirin(spark: SparkSession, sizes: Seq[Long]): Seq[BenchPoint] =
     sizes.flatMap { n =>
       val in = aspirinInputs(spark, n)
-      val conclave = {
-        val r = AspirinSliced.run(spark, in)
-        BenchPoint("conclave", n, Some(r.reportedSeconds))
-      }
-      // SMCQL's runtime is ~1s of setup per shared patient slice; cap like
-      // the paper's one-hour-plus observations.
-      val overlapSlices = (n * 0.02).toLong
-      val smcql =
-        if (overlapSlices * CostParams.ObliVM.setup > Bench.TimeoutSeconds)
-          BenchPoint("smcql", n, None, ">2h")
-        else {
-          val r = SmcqlAspirin.run(spark, in)
-          if (r.reportedSeconds > Bench.TimeoutSeconds) BenchPoint("smcql", n, None, ">2h")
-          else BenchPoint("smcql", n, Some(r.reportedSeconds))
-        }
-      Seq(conclave, smcql)
+      Seq(
+        Bench.point("conclave", n)(AspirinSliced.run(spark, in).reportedSeconds),
+        Bench.point("smcql", n)(SmcqlAspirin.run(spark, in).reportedSeconds))
     }
 
   def runComorbidity(spark: SparkSession, sizes: Seq[Long]): Seq[BenchPoint] =
     sizes.flatMap { n =>
       val in = comorbidityInputs(spark, n)
-      val conclave = {
-        val res = Bench.runConclave(spark, repro.queries.Comorbidity.build(),
-          repro.core.CompileConfig.default, in,
-          Set(repro.queries.Comorbidity.pH1, repro.queries.Comorbidity.pH2))
-        BenchPoint("conclave", n, Some(res.metrics.reportedSeconds))
-      }
-      // SMCQL's dominant term: the ObliVM sorting network over the ~2·10%·n
-      // pre-aggregated rows entering MPC.
-      val smcql =
-        if (estimateOblivmSort((n * 0.2).toLong) > Bench.TimeoutSeconds)
-          BenchPoint("smcql", n, None, ">2h")
-        else {
-          val r = SmcqlComorbidity.run(spark, in)
-          if (r.reportedSeconds > Bench.TimeoutSeconds) BenchPoint("smcql", n, None, ">2h")
-          else BenchPoint("smcql", n, Some(r.reportedSeconds))
-        }
-      Seq(conclave, smcql)
+      Seq(
+        Bench.point("conclave", n) {
+          Bench.runConclave(spark, Comorbidity.build(), CompileConfig.default, in,
+            Set(Comorbidity.pH1, Comorbidity.pH2)).metrics.reportedSeconds
+        },
+        Bench.point("smcql", n)(SmcqlComorbidity.run(spark, in).reportedSeconds))
     }
-
-  private[eval] def estimateOblivmSort(n: Long): Double = {
-    if (n <= 1) return 0.0
-    var p = 1L; while (p < n) p <<= 1
-    val log = java.lang.Long.numberOfTrailingZeros(p).toDouble
-    p / 4.0 * log * (log + 1) * (64.0 * 8) * CostParams.ObliVM.gate
-  }
 }

@@ -104,11 +104,20 @@ final case class MpcOutOfMemory(backend: String, op: String, bytes: Long, ceilin
       s"$backend: simulated OOM in $op: circuit state ${bytes / (1024 * 1024)} MiB " +
         s"exceeds ${ceiling / (1024 * 1024)} MiB")
 
+/** Modeled MPC time passed the experiment cap (the paper stops every run at
+  * two hours, §7). `seconds` is the charged, or projected, modeled time.
+  */
+final case class MpcTimeout(backend: String, seconds: Double)
+    extends RuntimeException(
+      f"$backend: modeled MPC time $seconds%.1f s passes the ${CostMeter.CapSeconds}%.0f s cap")
+
 /** Mutable meter of executed MPC primitives for one query execution.
   *
   * Counters are incremented by the engines/protocols as they actually run;
   * `modeledSeconds` converts them to simulated wall-clock using the
-  * backend's `CostParams`.
+  * backend's `CostParams`. Every charge also adds its seconds to a running
+  * total and throws `MpcTimeout` once that total passes the cap, the way
+  * `checkMem` throws `MpcOutOfMemory` above the memory ceiling.
   */
 final class CostMeter(val params: CostParams) {
   var rowsTouched: Long = 0
@@ -121,15 +130,34 @@ final class CostMeter(val params: CostParams) {
   var setups: Long = 0
   /** High-water mark of simulated circuit state (GC backends). */
   var peakMemBytes: Long = 0
+  private var charged: Double = 0.0
 
-  def addRows(n: Long): Unit = rowsTouched += n
-  def addEq(n: Long = 1): Unit = eqs += n
-  def addCmp(n: Long = 1): Unit = cmps += n
-  def addMul(n: Long = 1): Unit = muls += n
-  def addRound(n: Long = 1): Unit = rounds += n
-  def addShuffle(elems: Long): Unit = shuffledElems += elems
-  def addGates(n: Long): Unit = gates += n
-  def addSetup(): Unit = setups += 1
+  /** Running total of the seconds charged so far, checked against the cap. */
+  def chargedSeconds: Double = charged
+
+  private def charge(seconds: Double): Unit = {
+    charged += seconds
+    if (charged > CostMeter.CapSeconds) throw MpcTimeout(params.name, charged)
+  }
+
+  def addRows(n: Long): Unit = { rowsTouched += n; charge(n * params.rowTouch) }
+  def addEq(n: Long = 1): Unit = { eqs += n; charge(n * params.eq) }
+  def addCmp(n: Long = 1): Unit = { cmps += n; charge(n * params.cmp) }
+  def addMul(n: Long = 1): Unit = { muls += n; charge(n * params.mul) }
+  def addRound(n: Long = 1): Unit = { rounds += n; charge(n * params.round) }
+  def addShuffle(elems: Long): Unit = { shuffledElems += elems; charge(elems * params.shuffleEl) }
+  def addGates(n: Long): Unit = { gates += n; charge(n * params.gate) }
+  def addSetup(): Unit = { setups += 1; charge(params.setup) }
+
+  /** For an operator of `units` steps whose metered cost is the same
+    * whatever the data: called after the first step, which began at
+    * `start` (a `chargedSeconds` reading), it throws `MpcTimeout` unless all
+    * `units` steps still fit under the cap.
+    */
+  def checkUnits(start: Double, units: Long): Unit = {
+    val projected = start + (charged - start) * units
+    if (projected > CostMeter.CapSeconds) throw MpcTimeout(params.name, projected)
+  }
 
   /** Track simulated memory; throws `MpcOutOfMemory` above the ceiling. */
   def checkMem(op: String, bytes: Long): Unit = {
@@ -154,8 +182,15 @@ final class CostMeter(val params: CostParams) {
 
   def reset(): Unit = {
     rowsTouched = 0; eqs = 0; cmps = 0; muls = 0; rounds = 0
-    shuffledElems = 0; gates = 0; setups = 0; peakMemBytes = 0
+    shuffledElems = 0; gates = 0; setups = 0; peakMemBytes = 0; charged = 0.0
   }
+}
+
+object CostMeter {
+  /** The paper stops every experiment at two hours (§7); so does every
+    * meter, on modeled seconds.
+    */
+  val CapSeconds: Double = 7200.0
 }
 
 /** Immutable copy of a meter's counters, for reporting. */

@@ -51,6 +51,9 @@ object Oblivious {
     * ones; the relative order of data is by `keys`. Rows are padded to a
     * power of two with invalid sentinel rows that are dropped afterwards
     * (their final positions are data-independent in count).
+    *
+    * Every compare-exchange costs the same, so after the first one the
+    * meter stops a network that cannot finish under the cap.
     */
   def sortBy(e: MpcEngine, rel: SharedRelation, keys: Seq[SortKey]): SharedRelation = {
     val n = rel.size
@@ -111,6 +114,10 @@ object Oblivious {
       valid(b) = e.sub(valid(b), dv)
     }
 
+    // A p-input bitonic network has p·log p·(log p + 1)/4 compare-exchanges.
+    val logP = Integer.numberOfTrailingZeros(p).toLong
+    val exchanges = p * logP * (logP + 1) / 4
+    val start = e.meter.chargedSeconds
     var k = 2
     while (k <= p) {
       var j = k >> 1
@@ -118,7 +125,10 @@ object Oblivious {
         var x = 0
         while (x < p) {
           val l = x ^ j
-          if (l > x) exchange(x, l, (x & k) == 0)
+          if (l > x) {
+            exchange(x, l, (x & k) == 0)
+            if (k == 2 && x == 0) e.meter.checkUnits(start, exchanges) // the first exchange
+          }
           x += 1
         }
         j >>= 1
@@ -342,6 +352,9 @@ object Oblivious {
     * then an oblivious shuffle of the candidates and an opening of the match
     * flags. Leaks the output size (as the paper's Sharemind baseline does,
     * §7.3). Output schema: left keys ++ left rest ++ right rest.
+    *
+    * Every candidate pair costs the same, so after the first one the meter
+    * stops a join that cannot finish under the cap.
     */
   def cartesianJoin(
       e: MpcEngine,
@@ -355,12 +368,11 @@ object Oblivious {
     val outSchema = layout(left.schema, right.schema)
 
     val n = left.size.toLong; val m = right.size.toLong
-    require(n * m <= 2_000_000_000L,
-      s"simulated MPC join too large: $n x $m candidate pairs")
     val lValid = left.validity
     val rValid = right.validity
 
     val matches = ArrayBuffer.empty[Vector[MpcVal]]
+    val start = e.meter.chargedSeconds
     var i = 0
     while (i < left.size) {
       var j = 0
@@ -377,6 +389,11 @@ object Oblivious {
         // in the paper's complexity analysis (§5.3).
         if (e.idealOpen(f) == 1L) {
           matches += layout(left.rows(i), right.rows(j))
+        }
+        if (i == 0 && j == 0) { // the first pair
+          e.meter.checkUnits(start, n * m)
+          require(n * m <= 2_000_000_000L,
+            s"simulated MPC join too large: $n x $m candidate pairs")
         }
         j += 1
       }

@@ -20,8 +20,7 @@ object AspirinSliced {
     def reportedSeconds: Double = localSeconds + mpcModeledSeconds
   }
 
-  def run(spark: SparkSession, inputs: Map[String, DataFrame],
-      maxCloseRows: Long = 5_000_000L): Result = {
+  def run(spark: SparkSession, inputs: Map[String, DataFrame]): Result = {
     val t0 = System.nanoTime()
     val sliced = AspirinCount.slice(spark, inputs)
 
@@ -37,7 +36,7 @@ object AspirinSliced {
       "med2" -> sliced.sharedParts(1)("med"))
     val plan = Compiler.compile(AspirinCount.build(), CompileConfig.smcqlCompat)
     val backend = MpcBackend.sharemind(Set(AspirinCount.pH1, AspirinCount.pH2))
-    val res = new Executor(spark, backend, maxCloseRows).run(plan, restricted)
+    val res = new Executor(spark, backend).run(plan, restricted)
     val mpcCount = res.outputs(AspirinCount.OutputName).collect().head.getDouble(0).toLong
     Result(localCount + mpcCount,
       localSeconds + math.max(0.0, res.metrics.wallSeconds - res.metrics.mpcRealSeconds),

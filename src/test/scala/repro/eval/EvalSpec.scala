@@ -1,8 +1,10 @@
 package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{AggFn, Party}
+import repro.mpc.{MpcBackend, MpcOutOfMemory, MpcTimeout}
 
-/** Benchmark harness plumbing: table rendering, timeout estimates, and the
+/** Benchmark harness plumbing: table rendering, the two-hour cap and the
   * BenchPoint cell format used in EXPERIMENTS.md.
   */
 class EvalSpec extends AnyFunSuite {
@@ -31,23 +33,55 @@ class EvalSpec extends AnyFunSuite {
     assert(v == 42 && secs >= 0.02 && secs < 5.0)
   }
 
-  test("aggregation estimate grows superlinearly and respects the cap") {
-    val e1 = Fig4MarketConc.estimateAggSeconds(10000)
-    val e2 = Fig4MarketConc.estimateAggSeconds(100000)
-    assert(e2 > 10 * e1)
-    assert(Fig4MarketConc.estimateAggSeconds(10000000) > Bench.TimeoutSeconds)
+  private val parties = Set(Party("a"), Party("b"), Party("c"))
+
+  private def aggregate(b: MpcBackend, n: Long): Unit =
+    b.aggregate("agg", b.close("in", Seq("k", "v"), Bench.keyedRows(n, math.max(1, n / 10), seed = n)),
+      Seq("k"), Some("v"), AggFn.Sum, "s")
+
+  test("Sharemind aggregation cost grows superlinearly") {
+    def modeled(n: Long): Double = {
+      val b = MpcBackend.sharemind(parties)
+      aggregate(b, n)
+      b.meter.modeledSeconds
+    }
+    assert(modeled(10000) > 10 * modeled(1000))
   }
 
-  test("ObliVM sort estimate reproduces the paper's one-hour-plus anchor") {
+  test("a 1M-row Sharemind aggregation stops after one compare-exchange") {
+    val b = MpcBackend.sharemind(parties)
+    val t = intercept[MpcTimeout](aggregate(b, 1000000))
+    assert(t.seconds > Bench.TimeoutSeconds)
+    assert(b.meter.cmps <= 1, s"charged ${b.meter.cmps} comparisons before stopping")
+  }
+
+  test("ObliVM aggregation reproduces the paper's one-hour-plus anchor") {
     // ~4k pre-aggregated rows entering MPC (20k total at 10% distinct keys,
-    // both parties) must land beyond an hour (§7.4: SMCQL >1h at the 20k mark).
-    assert(Fig7Smcql.estimateOblivmSort(4000) > 3600)
-    assert(Fig7Smcql.estimateOblivmSort(100) < 60)
+    // both parties) must land beyond an hour (§7.4: SMCQL >1h at the 20k mark),
+    // while T6's smallest cell (~20 rows entering MPC) takes under a minute.
+    def modeled(n: Long): Double = {
+      val b = MpcBackend.oblivm(parties)
+      try { aggregate(b, n); b.meter.modeledSeconds }
+      catch { case t: MpcTimeout => t.seconds }
+    }
+    assert(modeled(4000) > 3600)
+    assert(modeled(20) < 60)
   }
 
-  test("microbenchmark pre-checks skip hopeless sizes without executing") {
-    val pts = Fig1Microbench.run(null, Fig1Microbench.JoinOp, Seq(1000000L), Seq.empty)
-    assert(pts.forall(p => p.seconds.isEmpty && p.note == ">2h"),
-      s"1M-record MPC join must be pre-checked to >2h: $pts")
+  test("the 1M-row microbenchmark join: Sharemind passes the cap after one pair, Obliv-C OOMs") {
+    val sm = MpcBackend.sharemind(parties)
+    assert(Fig1Microbench.mpcPoint("sharemind", sm, Fig1Microbench.JoinOp, 1000000).cell == ">2h")
+    assert(sm.meter.eqs <= 1, s"charged ${sm.meter.eqs} equality tests before stopping")
+    // Closing 500k rows already passes Obliv-C's 4 GiB ceiling.
+    val oc = MpcBackend.oblivc(parties)
+    assert(Fig1Microbench.mpcPoint("obliv-c", oc, Fig1Microbench.JoinOp, 1000000).cell == "OOM")
+    assert(oc.meter.gates == 0)
+  }
+
+  test("Bench.point maps the meter's stops and an over-cap time to notes") {
+    assert(Bench.point("s", 1)(1.0) == BenchPoint("s", 1, Some(1.0)))
+    assert(Bench.point("s", 1)(Bench.TimeoutSeconds + 1).cell == ">2h")
+    assert(Bench.point("s", 1)(throw MpcTimeout("x", 8000)).cell == ">2h")
+    assert(Bench.point("s", 1)(throw MpcOutOfMemory("x", "join", 2, 1)).cell == "OOM")
   }
 }

@@ -199,6 +199,36 @@ class EngineSpec extends AnyFunSuite {
     assert(m.modeledSeconds == 0.0 && m.snapshot.eqs == 0)
   }
 
+  test("cost meter throws MpcTimeout exactly when its running total passes the cap") {
+    val m = new CostMeter(CostParams.Sharemind)
+    m.addRows(1000); m.addEq(100); m.addCmp(10); m.addMul(7); m.addRound(3); m.addShuffle(50)
+    // The running total tracks the modeled clock, whose formula is unchanged.
+    assert(math.abs(m.chargedSeconds - m.modeledSeconds) < 1e-9)
+    m.reset()
+    assert(m.chargedSeconds == 0.0)
+    // 3,600 setups of 2 s reach the cap exactly; the next one passes it.
+    val atCap = (CostMeter.CapSeconds / CostParams.Sharemind.setup).toLong
+    (1L to atCap).foreach(_ => m.addSetup())
+    assert(m.chargedSeconds == CostMeter.CapSeconds)
+    val t = intercept[MpcTimeout](m.addSetup())
+    assert(t.seconds == CostMeter.CapSeconds + CostParams.Sharemind.setup)
+    // The charge that passed the cap is still counted.
+    assert(m.snapshot == CostSnapshot(0, 0, 0, 0, 0, 0, 0, atCap + 1, 0,
+      (atCap + 1) * CostParams.Sharemind.setup))
+    m.reset()
+    m.addSetup()
+    assert(m.chargedSeconds == CostParams.Sharemind.setup)
+  }
+
+  test("checkUnits projects the first unit's cost over all units") {
+    val m = new CostMeter(CostParams.Sharemind)
+    val start = m.chargedSeconds
+    m.addCmp(1) // one unit: 3e-4 s
+    m.checkUnits(start, 20000000L) // 6,000 s fits
+    val t = intercept[MpcTimeout](m.checkUnits(start, 30000000L))
+    assert(t.seconds > CostMeter.CapSeconds && m.cmps == 1)
+  }
+
   test("garbled-circuit memory model OOMs above the ceiling") {
     val m = new CostMeter(CostParams.OblivC)
     val e = new GarbledCircuitEngine(m)

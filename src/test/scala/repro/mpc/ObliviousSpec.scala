@@ -387,6 +387,47 @@ class ObliviousSpec extends AnyFunSuite {
     assert(b.meter.gates > 0)
   }
 
+  // ---------------------------------------------------------------- the cap
+
+  /** Charge storage until only `budget` modeled seconds are left under the cap. */
+  private def leaveBudget(b: MpcBackend, budget: Double): Unit =
+    b.meter.addRows(((CostMeter.CapSeconds - budget - b.meter.chargedSeconds) /
+      b.meter.params.rowTouch).toLong)
+
+  test("a sorting network that cannot finish under the cap stops after one compare-exchange") {
+    val b = sharemind()
+    val rows = (1 to 64).map(i => Seq(((i * 37) % 64).toDouble))
+    val before = b.meter.cmps
+    b.sort(rel(b, Seq("k"), rows), Seq("k" -> true))
+    assert(b.meter.cmps - before == 64 * 6 * 7 / 4, "a 64-input network has 672 exchanges")
+    // 672 exchanges cost ~0.22 modeled seconds on Sharemind; leave 0.1 s.
+    val r = rel(b, Seq("k"), rows)
+    leaveBudget(b, 0.1)
+    val stopped = b.meter.cmps
+    intercept[MpcTimeout](b.sort(r, Seq("k" -> true)))
+    assert(b.meter.cmps - stopped == 1)
+  }
+
+  test("a Cartesian join that cannot finish under the cap stops after one candidate pair") {
+    val b = sharemind()
+    val mk = (n: Int) => (1 to n).map(i => Seq(i.toDouble, 0.0))
+    val l = rel(b, Seq("k", "x"), mk(100)); val r = rel(b, Seq("k", "y"), mk(100))
+    // 10,000 equality tests cost 0.14 modeled seconds on Sharemind; leave 0.05 s.
+    leaveBudget(b, 0.05)
+    val before = b.meter.eqs
+    intercept[MpcTimeout](b.join("j", l, r, Seq("k"), Seq("k")))
+    assert(b.meter.eqs - before == 1)
+  }
+
+  test("the cap is checked before the simulator's join-size guard") {
+    val b = oblivc()
+    val mk = (n: Int) => (1 to n).map(i => Seq(i.toDouble))
+    // 50k x 50k pairs: past both the cap and the 2e9-pair guard.
+    val l = rel(b, Seq("k"), mk(50000))
+    intercept[MpcTimeout](Oblivious.cartesianJoin(b.engine, l, l, Seq(0), Seq(0)))
+    assert(b.meter.gates == 64)
+  }
+
   test("garbled-circuit join OOMs at the Fig. 1b anchor size") {
     val b = oblivc()
     val mk = (n: Int) => (1 to n).map(i => Seq(i.toDouble, 0.0))
