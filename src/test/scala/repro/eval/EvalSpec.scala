@@ -68,7 +68,8 @@ class EvalSpec extends AnyFunSuite {
     assert(modeled(20) < 60)
   }
 
-  test("the 1M-row microbenchmark join: Sharemind passes the cap after one pair, Obliv-C OOMs") {
+  test("microbenchmark pre-checks skip hopeless sizes without executing") {
+    // The 1M-row join cell: Sharemind passes the cap after one pair, Obliv-C OOMs.
     val sm = MpcBackend.sharemind(parties)
     assert(Fig1Microbench.mpcPoint("sharemind", sm, Fig1Microbench.JoinOp, 1000000).cell == ">2h")
     assert(sm.meter.eqs <= 1, s"charged ${sm.meter.eqs} equality tests before stopping")
